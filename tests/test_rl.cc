@@ -2,6 +2,8 @@
  * optimizers, A2C/PPO2 agents. */
 
 #include <cmath>
+#include <cstring>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -352,4 +354,121 @@ TEST(A2c, PolicyImprovesOverEpisodes)
         late += r.sampledFitness[400 + i];
     }
     EXPECT_GT(late, early);
+}
+
+// ------------------------------------------------------------- golden ---
+//
+// Fixed-seed A2C and PPO2 results pinned bit for bit: the best mapping
+// (its exact %.17g text), the best fitness's bit pattern and an FNV-1a
+// hash over the bit patterns of every sampled fitness. Any change to the
+// dense kernels, the optimizers or the order of their arithmetic that
+// moves a single bit of a logit far enough to flip a sampled action shows
+// here. Hidden 128 is Table IV's width; hidden 20 is not a multiple of 8
+// and so exercises the tail of a blocked kernel.
+
+namespace {
+
+struct GoldenRun {
+    std::string best;
+    uint64_t bestBits;
+    uint64_t sampledHash;
+};
+
+uint64_t
+bitsOf(double v)
+{
+    uint64_t u;
+    std::memcpy(&u, &v, sizeof(u));
+    return u;
+}
+
+template <typename Agent>
+GoldenRun
+goldenRun(Agent&& agent)
+{
+    auto p = m3e::makeProblem(dnn::TaskType::Mix, accel::Setting::S2, 16.0,
+                              12, 1);
+    opt::SearchOptions opts;
+    opts.sampleBudget = 40;
+    opts.recordSamples = true;
+    opt::SearchResult r = agent.search(p->evaluator(), opts);
+    EXPECT_EQ(r.sampledFitness.size(), 40u);
+    uint64_t h = 1469598103934665603ull;
+    for (double f : r.sampledFitness) {
+        h ^= bitsOf(f);
+        h *= 1099511628211ull;
+    }
+    return {r.best.toText(), bitsOf(r.bestFitness), h};
+}
+
+void
+expectGolden(const GoldenRun& got, const GoldenRun& want)
+{
+    EXPECT_EQ(got.best, want.best);
+    EXPECT_EQ(got.bestBits, want.bestBits) << std::hex << got.bestBits;
+    EXPECT_EQ(got.sampledHash, want.sampledHash)
+        << std::hex << got.sampledHash;
+}
+
+rl::A2c
+goldenA2c(int hidden)
+{
+    rl::A2cConfig cfg;
+    cfg.hidden = hidden;
+    return rl::A2c(31, cfg);
+}
+
+rl::Ppo2
+goldenPpo2(int hidden)
+{
+    rl::Ppo2Config cfg;
+    cfg.hidden = hidden;
+    return rl::Ppo2(32, cfg);
+}
+
+}  // namespace
+
+TEST(RlGolden, A2cHidden128)
+{
+    expectGolden(goldenRun(goldenA2c(128)),
+        {"12 2 2 1 0 1 0 2 1 1 1 0 2 0.75 0.25 0.45000000000000001 "
+         "0.14999999999999999 0.14999999999999999 "
+         "0.84999999999999998 0.75 0.75 0.75 0.25 "
+         "0.14999999999999999 0.75",
+         0x40735e1fe6353c62ull, 0xfa869341d57057eeull});
+}
+
+TEST(RlGolden, A2cHidden20)
+{
+    expectGolden(goldenRun(goldenA2c(20)),
+        {"12 3 1 0 2 0 0 1 0 3 2 2 3 0.55000000000000004 "
+         "0.050000000000000003 0.55000000000000004 "
+         "0.55000000000000004 0.34999999999999998 "
+         "0.84999999999999998 0.55000000000000004 "
+         "0.55000000000000004 0.25 0.34999999999999998 "
+         "0.34999999999999998 0.55000000000000004",
+         0x408329aa159905c4ull, 0xde985153d2e57c8bull});
+}
+
+TEST(RlGolden, Ppo2Hidden128)
+{
+    expectGolden(goldenRun(goldenPpo2(128)),
+        {"12 0 1 3 0 1 3 1 0 1 2 2 2 0.050000000000000003 "
+         "0.65000000000000002 0.14999999999999999 "
+         "0.65000000000000002 0.84999999999999998 0.25 "
+         "0.55000000000000004 0.75 0.050000000000000003 "
+         "0.14999999999999999 0.94999999999999996 "
+         "0.55000000000000004",
+         0x40781569203489b7ull, 0x4aaeaea9c804c8f6ull});
+}
+
+TEST(RlGolden, Ppo2Hidden20)
+{
+    expectGolden(goldenRun(goldenPpo2(20)),
+        {"12 3 2 2 0 1 0 1 0 2 0 0 3 0.34999999999999998 "
+         "0.65000000000000002 0.65000000000000002 "
+         "0.94999999999999996 0.25 0.84999999999999998 "
+         "0.34999999999999998 0.75 0.75 0.34999999999999998 "
+         "0.94999999999999996 0.75",
+         0x40772ea237a2fcfeull, 0x36392c637083e45dull});
 }
