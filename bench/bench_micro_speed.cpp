@@ -9,6 +9,9 @@
  *   - candidate-evaluation throughput, reference vs flat kernel, at
  *     threads = 1/2/4, so the exec-engine and FlatEvaluator speedups
  *     are measured rather than asserted,
+ *   - RL A2C search throughput (Table IV's hidden-128 networks, Mix/S2/
+ *     16 GB/s/group 30, network set-up included), the dense-layer
+ *     arithmetic the RL lane spends its time in,
  *   - a flat-vs-reference bitwise parity self-check over randomized
  *     candidates and all five objectives — the bench exits non-zero on
  *     any mismatch, which is what the CI perf-smoke step gates on.
@@ -37,6 +40,7 @@
 #include "m3e/problem.h"
 #include "obs/snapshot.h"
 #include "opt/magma_ga.h"
+#include "rl/a2c.h"
 #include "sched/flat_eval.h"
 #include "sched/job_analyzer.h"
 
@@ -199,6 +203,21 @@ main(int argc, char** argv)
                 1e6 / hit_per_s);
     std::printf("job-table build      %10.2f /s  (%.1f ms)\n", table_per_s,
                 1e3 / table_per_s);
+
+    auto rl_problem = m3e::makeProblem(dnn::TaskType::Mix,
+                                       accel::Setting::S2, 16.0, 30,
+                                       args.seed);
+    const int rl_budget = 50;
+    double rl_per_s = rate(
+        [&] {
+            rl::A2c a2c(args.seed);
+            opt::SearchOptions opts;
+            opts.sampleBudget = rl_budget;
+            sink = a2c.search(rl_problem->evaluator(), opts).bestFitness;
+        },
+        budget_s, rl_budget);
+    std::printf("RL A2C sample        %10.1f /s  (%.2f ms)\n", rl_per_s,
+                1e3 / rl_per_s);
     (void)sink;
 
     // ------------------------------- candidate-evaluation throughput ---
@@ -256,6 +275,7 @@ main(int argc, char** argv)
     json.field("cost_model_query_per_sec", q_per_s);
     json.field("cost_cache_hit_per_sec", hit_per_s);
     json.field("job_table_build_per_sec", table_per_s);
+    json.field("rl_a2c_samples_per_sec", rl_per_s);
     json.field("ref_evals_per_sec_t1", ref_t1);
     json.field("flat_evals_per_sec_t1", flat_t1);
     json.field("speedup_t1", speedup_t1);

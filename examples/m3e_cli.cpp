@@ -109,6 +109,18 @@ parseOrDie(Fn&& fn, const std::string& value)
     }
 }
 
+/**
+ * Set a spec key from a flag through the spec's own check (the one spec
+ * files go through), mapping a rejected value to a usage error.
+ */
+template <typename Spec>
+void
+setOrDie(Spec& spec, const char* key, const std::string& value)
+{
+    parseOrDie([&](const std::string& v) { return spec.applyKey(key, v); },
+               value);
+}
+
 void
 listMethods()
 {
@@ -150,11 +162,11 @@ parse(int argc, char** argv)
             a.exp.problem.setting =
                 parseOrDie(accel::settingFromName, need(i++));
         else if (flag == "--bw")
-            a.exp.problem.systemBwGbps = std::stod(need(i++));
+            setOrDie(a.exp.problem, "system_bw_gbps", need(i++));
         else if (flag == "--group")
-            a.exp.problem.groupSize = std::stoi(need(i++));
+            setOrDie(a.exp.problem, "group_size", need(i++));
         else if (flag == "--budget")
-            a.exp.search.sampleBudget = std::stoll(need(i++));
+            setOrDie(a.exp.search, "sample_budget", need(i++));
         else if (flag == "--seed") {
             // One --seed drives both the workload draw and the search,
             // exactly as before the api/ redesign.

@@ -1,5 +1,7 @@
 #include "api/spec.h"
 
+#include <climits>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -9,6 +11,22 @@
 namespace magma::api {
 
 using namespace textio;
+
+namespace {
+
+/** parseInt restricted to [1, max]. */
+int64_t
+parseAtLeastOne(const std::string& key, const std::string& value,
+                long long max)
+{
+    long long v = parseInt(key, value);
+    if (v < 1 || v > max)
+        throw std::invalid_argument(key + ": need an integer >= 1, got '" +
+                                    value + "'");
+    return v;
+}
+
+}  // namespace
 
 // ------------------------------------------------------- ProblemSpec ---
 
@@ -35,10 +53,15 @@ ProblemSpec::applyKey(const std::string& key, const std::string& value)
         setting = accel::settingFromName(value);
     else if (key == "flexible")
         flexible = parseBool(key, value);
-    else if (key == "system_bw_gbps")
-        systemBwGbps = parseDouble(key, value);
-    else if (key == "group_size")
-        groupSize = static_cast<int>(parseInt(key, value));
+    else if (key == "system_bw_gbps") {
+        // The schedule simulation makes no progress at zero bandwidth.
+        double bw = parseDouble(key, value);
+        if (!std::isfinite(bw) || bw <= 0.0)
+            throw std::invalid_argument(key + ": need a finite number > 0, "
+                                              "got '" + value + "'");
+        systemBwGbps = bw;
+    } else if (key == "group_size")
+        groupSize = static_cast<int>(parseAtLeastOne(key, value, INT_MAX));
     else if (key == "bw_policy")
         bwPolicy = sched::bwPolicyFromName(value);
     else if (key == "workload_seed")
@@ -89,7 +112,7 @@ SearchSpec::applyKey(const std::string& key, const std::string& value)
     else if (key == "objectives")
         objectives = sched::objectiveListFromName(value);
     else if (key == "sample_budget")
-        sampleBudget = parseInt(key, value);
+        sampleBudget = parseAtLeastOne(key, value, LLONG_MAX);
     else if (key == "seed")
         seed = parseUint(key, value);
     else if (key == "threads")

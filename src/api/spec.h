@@ -21,7 +21,9 @@ namespace magma::api {
  * so an experiment's inputs can be stored, queued and replayed verbatim.
  *
  * Keys (one per toText line): task, setting, flexible, system_bw_gbps,
- * group_size, bw_policy, workload_seed.
+ * group_size, bw_policy, workload_seed. system_bw_gbps must be finite
+ * and > 0 and group_size >= 1: the schedule simulation cannot run
+ * anything else.
  */
 struct ProblemSpec {
     dnn::TaskType task = dnn::TaskType::Mix;
@@ -51,7 +53,8 @@ struct ProblemSpec {
  * and seed. Same text discipline as ProblemSpec.
  *
  * Keys: method, objective, objectives, sample_budget, seed, threads,
- * eval, record_convergence, record_samples, warm_start.
+ * eval, record_convergence, record_samples, warm_start. sample_budget
+ * must be >= 1.
  */
 struct SearchSpec {
     std::string method = "MAGMA";  ///< registry name or alias

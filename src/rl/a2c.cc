@@ -2,6 +2,7 @@
 
 #include <vector>
 
+#include "obs/profiler.h"
 #include "rl/actor_critic.h"
 #include "rl/optim.h"
 
@@ -14,20 +15,24 @@ A2c::run(const sched::MappingEvaluator& eval, const opt::SearchOptions&,
          opt::SearchRecorder& rec)
 {
     ActorCritic ac(eval, rng_.engine()(), cfg_.hidden);
-    RmsProp actor_opt(ac.actor().paramPtrs(), ac.actor().gradPtrs(),
+    RmsProp actor_opt(ac.actor().params(), ac.actor().grads(),
                       cfg_.learningRate);
-    RmsProp critic_opt(ac.critic().paramPtrs(), ac.critic().gradPtrs(),
+    RmsProp critic_opt(ac.critic().params(), ac.critic().grads(),
                        cfg_.learningRate);
     const int a_n = ac.accelActions();
     const int b_n = ac.bucketActions();
 
     while (!rec.exhausted()) {
         Episode ep = ac.rollout(rng_, rec);
+        PROFILE_SCOPE("rl.update");
         const int g = static_cast<int>(ep.steps.size());
 
-        Matrix x = ActorCritic::stackFeatures(ep.steps);
-        Matrix logits = ac.actor().forward(x);
-        Matrix values = ac.critic().forward(x);
+        // The rollout left this episode's actor activations cached and
+        // kept its logits: the actor is not forwarded again.
+        const Matrix& logits = ep.logits;
+        ac.critic().clearCache();
+        Matrix values =
+            ac.critic().forward(ActorCritic::stackFeatures(ep.steps));
         std::vector<double> returns =
             ActorCritic::discountedReturns(g, ep.reward, cfg_.gamma);
 
@@ -63,13 +68,11 @@ A2c::run(const sched::MappingEvaluator& eval, const opt::SearchOptions&,
 
         ac.actor().zeroGrad();
         ac.actor().backward(dlogits);
-        actor_opt.clipGradNorm(cfg_.maxGradNorm);
-        actor_opt.step();
+        actor_opt.clipAndStep(cfg_.maxGradNorm);
 
         ac.critic().zeroGrad();
         ac.critic().backward(dvalues);
-        critic_opt.clipGradNorm(cfg_.maxGradNorm);
-        critic_opt.step();
+        critic_opt.clipAndStep(cfg_.maxGradNorm);
     }
 }
 

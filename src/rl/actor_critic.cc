@@ -1,6 +1,9 @@
 #include "rl/actor_critic.h"
 
+#include <algorithm>
 #include <cmath>
+
+#include "obs/profiler.h"
 
 namespace magma::rl {
 
@@ -20,6 +23,7 @@ ActorCritic::ActorCritic(const sched::MappingEvaluator& eval, uint64_t seed,
 Episode
 ActorCritic::rollout(common::Rng& rng, opt::SearchRecorder& rec)
 {
+    PROFILE_SCOPE("rl.rollout");
     const int g = env_.steps();
     const int a_n = env_.accelActions();
     const int b_n = env_.priorityActions();
@@ -28,7 +32,9 @@ ActorCritic::rollout(common::Rng& rng, opt::SearchRecorder& rec)
     ep.steps.reserve(g);
     ep.mapping.accelSel.assign(g, 0);
     ep.mapping.priority.assign(g, 0.0);
+    ep.logits = Matrix(g, a_n + b_n);
     env_.reset();
+    actor_.clearCache();
 
     for (int j = 0; j < g; ++j) {
         RolloutStep step;
@@ -37,11 +43,10 @@ ActorCritic::rollout(common::Rng& rng, opt::SearchRecorder& rec)
         for (size_t i = 0; i < step.features.size(); ++i)
             x.at(0, i) = step.features[i];
         Matrix logits = actor_.forward(x);
-        std::vector<double> accel_logits(a_n), bucket_logits(b_n);
-        for (int i = 0; i < a_n; ++i)
-            accel_logits[i] = logits.at(0, i);
-        for (int i = 0; i < b_n; ++i)
-            bucket_logits[i] = logits.at(0, a_n + i);
+        const double* row = logits.data();
+        std::copy(row, row + a_n + b_n, &ep.logits.at(j, 0));
+        std::vector<double> accel_logits(row, row + a_n);
+        std::vector<double> bucket_logits(row + a_n, row + a_n + b_n);
         step.accel = sampleCategorical(accel_logits, rng);
         step.bucket = sampleCategorical(bucket_logits, rng);
         step.logp = logProb(accel_logits, step.accel) +

@@ -21,6 +21,7 @@ struct RolloutStep {
 /** One collected episode (= one budget sample). */
 struct Episode {
     std::vector<RolloutStep> steps;
+    common::Matrix logits;  ///< actor outputs, one row per step
     sched::Mapping mapping;
     double fitness = 0.0;  ///< raw throughput (GFLOP/s)
     double reward = 0.0;   ///< normalized by platform peak
@@ -37,7 +38,12 @@ class ActorCritic {
     ActorCritic(const sched::MappingEvaluator& eval, uint64_t seed,
                 int hidden = 128);
 
-    /** Play one episode under the current stochastic policy. */
+    /**
+     * Play one episode under the current stochastic policy. Clears the
+     * actor's activation caches first and forwards every step into them,
+     * so afterwards they hold exactly this episode's rows and
+     * actor().backward() can run on them directly.
+     */
     Episode rollout(common::Rng& rng, opt::SearchRecorder& rec);
 
     /** Stack episode features into a (steps x dim) matrix. */

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <vector>
 
+#include "obs/profiler.h"
 #include "rl/actor_critic.h"
 #include "rl/optim.h"
 
@@ -16,9 +17,9 @@ Ppo2::run(const sched::MappingEvaluator& eval, const opt::SearchOptions&,
           opt::SearchRecorder& rec)
 {
     ActorCritic ac(eval, rng_.engine()(), cfg_.hidden);
-    Adam actor_opt(ac.actor().paramPtrs(), ac.actor().gradPtrs(),
+    Adam actor_opt(ac.actor().params(), ac.actor().grads(),
                    cfg_.learningRate);
-    Adam critic_opt(ac.critic().paramPtrs(), ac.critic().gradPtrs(),
+    Adam critic_opt(ac.critic().params(), ac.critic().grads(),
                     cfg_.learningRate);
     const int a_n = ac.accelActions();
     const int b_n = ac.bucketActions();
@@ -39,11 +40,13 @@ Ppo2::run(const sched::MappingEvaluator& eval, const opt::SearchOptions&,
         }
         if (steps.empty())
             break;
+        PROFILE_SCOPE("rl.update");
         const int n = static_cast<int>(steps.size());
 
         Matrix x = ActorCritic::stackFeatures(steps);
 
         // Advantages against the current critic, normalized per batch.
+        ac.critic().clearCache();
         Matrix values0 = ac.critic().forward(x);
         std::vector<double> adv(n);
         double mean = 0.0;
@@ -61,7 +64,10 @@ Ppo2::run(const sched::MappingEvaluator& eval, const opt::SearchOptions&,
 
         // --- Clipped-surrogate epochs. ---
         for (int epoch = 0; epoch < cfg_.epochsPerBatch; ++epoch) {
+            // Whole-batch forwards under this epoch's weights.
+            ac.actor().clearCache();
             Matrix logits = ac.actor().forward(x);
+            ac.critic().clearCache();
             Matrix values = ac.critic().forward(x);
 
             Matrix dlogits(n, a_n + b_n, 0.0);
@@ -106,13 +112,11 @@ Ppo2::run(const sched::MappingEvaluator& eval, const opt::SearchOptions&,
 
             ac.actor().zeroGrad();
             ac.actor().backward(dlogits);
-            actor_opt.clipGradNorm(cfg_.maxGradNorm);
-            actor_opt.step();
+            actor_opt.clipAndStep(cfg_.maxGradNorm);
 
             ac.critic().zeroGrad();
             ac.critic().backward(dvalues);
-            critic_opt.clipGradNorm(cfg_.maxGradNorm);
-            critic_opt.step();
+            critic_opt.clipAndStep(cfg_.maxGradNorm);
         }
     }
 }

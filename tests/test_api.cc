@@ -179,6 +179,32 @@ TEST(SpecText, RejectsUnknownKeysAndBadValues)
                  std::invalid_argument);
 }
 
+TEST(SpecText, RejectsValuesTheSimulationCannotRun)
+{
+    // Zero bandwidth never terminates the simulation; negative or NaN
+    // bandwidth and empty groups or budgets yield inf or empty results.
+    for (const char* bw : {"0", "-0", "-5", "nan", "inf", "-inf", "1e999"})
+        EXPECT_THROW(ProblemSpec::fromText(std::string("system_bw_gbps=") +
+                                           bw + "\n"),
+                     std::invalid_argument)
+            << bw;
+    for (const char* g : {"0", "-3", "99999999999"})
+        EXPECT_THROW(
+            ProblemSpec::fromText(std::string("group_size=") + g + "\n"),
+            std::invalid_argument)
+            << g;
+    for (const char* b : {"0", "-1"})
+        EXPECT_THROW(
+            SearchSpec::fromText(std::string("sample_budget=") + b + "\n"),
+            std::invalid_argument)
+            << b;
+    ProblemSpec p = ProblemSpec::fromText("system_bw_gbps=0.5\n"
+                                          "group_size=1\n");
+    EXPECT_EQ(p.systemBwGbps, 0.5);
+    EXPECT_EQ(p.groupSize, 1);
+    EXPECT_EQ(SearchSpec::fromText("sample_budget=1\n").sampleBudget, 1);
+}
+
 TEST(SpecText, PartialTextKeepsDefaults)
 {
     ProblemSpec s = ProblemSpec::fromText("task=Vision\n");

@@ -1,13 +1,18 @@
 /** @file Unit tests for the RL substrate: NN backprop, distributions,
  * optimizers, A2C/PPO2 agents. */
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <span>
 #include <string>
 
 #include <gtest/gtest.h>
 
 #include "m3e/problem.h"
+#include "obs/metrics.h"
+#include "obs/profiler.h"
+#include "obs/trace.h"
 #include "rl/a2c.h"
 #include "rl/actor_critic.h"
 #include "rl/nn.h"
@@ -52,6 +57,7 @@ TEST(Nn, GradientMatchesFiniteDifference)
             x.at(i, j) = rng.gauss();
 
     auto loss = [&]() {
+        net.clearCache();
         Matrix y = net.forward(x);
         double l = 0.0;
         for (size_t i = 0; i < y.rows(); ++i)
@@ -64,21 +70,21 @@ TEST(Nn, GradientMatchesFiniteDifference)
     net.forward(x);
     Matrix g(4, 2, 1.0);  // dL/dy = 1
     net.backward(g);
+    std::vector<double> grads(net.grads().begin(), net.grads().end());
 
-    auto params = net.paramPtrs();
-    auto grads = net.gradPtrs();
+    std::span<double> params = net.params();
     ASSERT_EQ(params.size(), grads.size());
     const double eps = 1e-6;
     // Probe a spread of parameters.
     for (size_t k = 0; k < params.size(); k += 7) {
-        double orig = *params[k];
-        *params[k] = orig + eps;
+        double orig = params[k];
+        params[k] = orig + eps;
         double lp = loss();
-        *params[k] = orig - eps;
+        params[k] = orig - eps;
         double lm = loss();
-        *params[k] = orig;
+        params[k] = orig;
         double numeric = (lp - lm) / (2 * eps);
-        EXPECT_NEAR(*grads[k], numeric, 1e-4) << "param " << k;
+        EXPECT_NEAR(grads[k], numeric, 1e-4) << "param " << k;
     }
 }
 
@@ -89,8 +95,8 @@ TEST(Nn, ZeroGradClearsAccumulation)
     net.forward(x);
     net.backward(Matrix(1, 1, 1.0));
     net.zeroGrad();
-    for (double* g : net.gradPtrs())
-        EXPECT_DOUBLE_EQ(*g, 0.0);
+    for (double g : net.grads())
+        EXPECT_DOUBLE_EQ(g, 0.0);
 }
 
 TEST(Nn, BackwardAccumulatesAcrossCalls)
@@ -100,14 +106,234 @@ TEST(Nn, BackwardAccumulatesAcrossCalls)
     net.zeroGrad();
     net.forward(x);
     net.backward(Matrix(1, 1, 1.0));
-    std::vector<double> once;
-    for (double* g : net.gradPtrs())
-        once.push_back(*g);
+    std::vector<double> once(net.grads().begin(), net.grads().end());
+    net.clearCache();
     net.forward(x);
     net.backward(Matrix(1, 1, 1.0));
-    auto grads = net.gradPtrs();
+    std::span<double> grads = net.grads();
     for (size_t i = 0; i < grads.size(); ++i)
-        EXPECT_NEAR(*grads[i], 2.0 * once[i], 1e-12);
+        EXPECT_NEAR(grads[i], 2.0 * once[i], 1e-12);
+}
+
+TEST(Nn, CachesAccumulateUntilCleared)
+{
+    rl::Mlp net({2, 3, 1}, 11);
+    EXPECT_EQ(net.cachedRows(), 0u);
+    net.forward(Matrix(1, 2, 1.0));
+    net.forward(Matrix(3, 2, 0.5));
+    EXPECT_EQ(net.cachedRows(), 4u);
+    net.clearCache();
+    EXPECT_EQ(net.cachedRows(), 0u);
+}
+
+// ------------------------------------------------------ kernel oracle ---
+//
+// The naive loops the dense kernels started from, kept as their oracle:
+// the blocked kernels must agree with them bit for bit (same per-output
+// summation order), on shapes that are and are not multiples of the
+// block, and on gradients with exact zeros (which the backward skips).
+
+namespace {
+
+bool
+sameBits(const double* a, const double* b, size_t n)
+{
+    return std::memcmp(a, b, n * sizeof(double)) == 0;
+}
+
+/** y = x W^T + b over a layer slice p (weights out x in, then biases). */
+Matrix
+oracleForward(int in, int out, const std::vector<double>& p, const Matrix& x)
+{
+    const double* w = p.data();
+    const double* b = w + static_cast<size_t>(out) * in;
+    Matrix y(x.rows(), out);
+    for (size_t r = 0; r < x.rows(); ++r) {
+        for (int o = 0; o < out; ++o) {
+            double acc = b[o];
+            for (int i = 0; i < in; ++i)
+                acc += x.at(r, i) * w[o * in + i];
+            y.at(r, o) = acc;
+        }
+    }
+    return y;
+}
+
+/** Accumulates dW, db into g; returns dx. */
+Matrix
+oracleBackward(int in, int out, const std::vector<double>& p,
+               std::vector<double>& g, const Matrix& x,
+               const Matrix& grad_out)
+{
+    const double* w = p.data();
+    double* gw = g.data();
+    double* gb = gw + static_cast<size_t>(out) * in;
+    for (size_t r = 0; r < grad_out.rows(); ++r) {
+        for (int o = 0; o < out; ++o) {
+            double go = grad_out.at(r, o);
+            if (go == 0.0)
+                continue;
+            gb[o] += go;
+            for (int i = 0; i < in; ++i)
+                gw[o * in + i] += go * x.at(r, i);
+        }
+    }
+    Matrix dx(grad_out.rows(), in, 0.0);
+    for (size_t r = 0; r < grad_out.rows(); ++r)
+        for (int o = 0; o < out; ++o) {
+            double go = grad_out.at(r, o);
+            if (go == 0.0)
+                continue;
+            for (int i = 0; i < in; ++i)
+                dx.at(r, i) += go * w[o * in + i];
+        }
+    return dx;
+}
+
+/** Gaussian fill with every third entry an exact zero. */
+Matrix
+randomWithZeros(size_t rows, size_t cols, common::Rng& rng)
+{
+    Matrix m(rows, cols);
+    for (size_t k = 0; k < rows * cols; ++k)
+        m.data()[k] = k % 3 == 1 ? 0.0 : rng.gauss();
+    return m;
+}
+
+/**
+ * The network's forward and backward built from the oracle loops, with
+ * pre-activation ReLU caches. Returns the outputs and leaves the
+ * gradients (same layout as Mlp::grads()) in `grads`.
+ */
+Matrix
+oracleMlp(const std::vector<int>& dims, const std::vector<double>& params,
+          const Matrix& x, const Matrix& grad_out,
+          std::vector<double>& grads)
+{
+    std::vector<std::vector<double>> p, g;
+    size_t off = 0;
+    for (size_t l = 0; l + 1 < dims.size(); ++l) {
+        size_t n = static_cast<size_t>(dims[l + 1]) * (dims[l] + 1);
+        p.emplace_back(params.begin() + off, params.begin() + off + n);
+        g.emplace_back(n, 0.0);
+        off += n;
+    }
+    std::vector<Matrix> inputs, pre;
+    inputs.reserve(p.size());
+    pre.reserve(p.size());
+    Matrix h = x;
+    for (size_t l = 0; l < p.size(); ++l) {
+        inputs.push_back(h);
+        h = oracleForward(dims[l], dims[l + 1], p[l], h);
+        if (l + 1 < p.size()) {
+            pre.push_back(h);
+            for (size_t k = 0; k < h.rows() * h.cols(); ++k)
+                h.data()[k] = std::max(h.data()[k], 0.0);
+        }
+    }
+    Matrix gy = grad_out;
+    for (size_t l = p.size(); l-- > 0;) {
+        gy = oracleBackward(dims[l], dims[l + 1], p[l], g[l], inputs[l],
+                            gy);
+        if (l > 0)
+            for (size_t k = 0; k < gy.rows() * gy.cols(); ++k)
+                if (pre[l - 1].data()[k] <= 0.0)
+                    gy.data()[k] = 0.0;
+    }
+    grads.clear();
+    for (const auto& gl : g)
+        grads.insert(grads.end(), gl.begin(), gl.end());
+    return h;
+}
+
+}  // namespace
+
+TEST(NnKernel, LinearMatchesOracleBitwise)
+{
+    common::Rng rng(12);
+    const int dims[] = {1, 3, 8, 13, 128};
+    for (int in : dims)
+        for (int out : dims)
+            for (size_t rows : {size_t{1}, size_t{30}}) {
+                rl::Linear layer(in, out, 0);
+                std::vector<double> p(layer.size());
+                for (double& v : p)
+                    v = rng.gauss();
+                Matrix x = randomWithZeros(rows, in, rng);
+                Matrix gy = randomWithZeros(rows, out, rng);
+                // Accumulate onto non-zero gradients, as across calls.
+                std::vector<double> g0(layer.size());
+                for (double& v : g0)
+                    v = rng.gauss();
+
+                Matrix y(rows, out);
+                layer.forward(p, x.data(), rows, y.data());
+                Matrix want_y = oracleForward(in, out, p, x);
+                EXPECT_TRUE(sameBits(y.data(), want_y.data(), rows * out))
+                    << in << "x" << out << " rows " << rows;
+
+                std::vector<double> g = g0, want_g = g0;
+                Matrix dx(rows, in, -1.0);
+                layer.backward(p, g, x.data(), gy.data(), rows, dx.data());
+                Matrix want_dx =
+                    oracleBackward(in, out, p, want_g, x, gy);
+                EXPECT_TRUE(sameBits(g.data(), want_g.data(), g.size()))
+                    << in << "x" << out << " rows " << rows;
+                EXPECT_TRUE(sameBits(dx.data(), want_dx.data(), rows * in))
+                    << in << "x" << out << " rows " << rows;
+
+                // Skipping dx leaves the parameter gradients unchanged.
+                std::vector<double> g_nodx = g0;
+                layer.backward(p, g_nodx, x.data(), gy.data(), rows,
+                               nullptr);
+                EXPECT_TRUE(sameBits(g_nodx.data(), g.data(), g.size()));
+            }
+}
+
+TEST(NnKernel, StepwiseForwardMatchesBatchedAndOracleBitwise)
+{
+    // Table IV's actor shape, and one whose widths are not multiples of
+    // the kernel's block.
+    const std::vector<std::vector<int>> shapes = {{16, 128, 128, 128, 14},
+                                                  {13, 20, 20, 20, 7}};
+    for (const std::vector<int>& dims : shapes) {
+        common::Rng rng(13);
+        const size_t rows = 30;
+        Matrix x = randomWithZeros(rows, dims.front(), rng);
+        Matrix gy = randomWithZeros(rows, dims.back(), rng);
+
+        rl::Mlp stepwise(dims, 14), batched(dims, 14);
+        stepwise.clearCache();
+        Matrix y_step(rows, dims.back());
+        for (size_t r = 0; r < rows; ++r) {
+            Matrix row(1, dims.front());
+            std::copy(&x.at(r, 0), &x.at(r, 0) + dims.front(), row.data());
+            Matrix out = stepwise.forward(row);
+            std::copy(out.data(), out.data() + dims.back(), &y_step.at(r, 0));
+        }
+        ASSERT_EQ(stepwise.cachedRows(), rows);
+        batched.clearCache();
+        Matrix y_batch = batched.forward(x);
+        EXPECT_TRUE(
+            sameBits(y_step.data(), y_batch.data(), rows * dims.back()));
+
+        stepwise.zeroGrad();
+        stepwise.backward(gy);
+        batched.zeroGrad();
+        batched.backward(gy);
+        std::span<double> gs = stepwise.grads(), gb = batched.grads();
+        ASSERT_EQ(gs.size(), gb.size());
+        EXPECT_TRUE(sameBits(gs.data(), gb.data(), gs.size()));
+
+        std::vector<double> params(batched.params().begin(),
+                                   batched.params().end());
+        std::vector<double> want_g;
+        Matrix want_y = oracleMlp(dims, params, x, gy, want_g);
+        EXPECT_TRUE(
+            sameBits(y_batch.data(), want_y.data(), rows * dims.back()));
+        ASSERT_EQ(want_g.size(), gb.size());
+        EXPECT_TRUE(sameBits(gb.data(), want_g.data(), gb.size()));
+    }
 }
 
 // ------------------------------------------------------- distributions ---
@@ -195,7 +421,7 @@ TEST(Policy, EntropyGradMatchesFiniteDifference)
 TEST(Optim, RmsPropMinimizesQuadratic)
 {
     double x = 5.0, g = 0.0;
-    rl::RmsProp opt({&x}, {&g}, 0.05);
+    rl::RmsProp opt({&x, 1}, {&g, 1}, 0.05);
     for (int i = 0; i < 500; ++i) {
         g = 2.0 * x;  // d/dx x^2
         opt.step();
@@ -206,7 +432,7 @@ TEST(Optim, RmsPropMinimizesQuadratic)
 TEST(Optim, AdamMinimizesQuadratic)
 {
     double x = -4.0, g = 0.0;
-    rl::Adam opt({&x}, {&g}, 0.05);
+    rl::Adam opt({&x, 1}, {&g, 1}, 0.05);
     for (int i = 0; i < 800; ++i) {
         g = 2.0 * x;
         opt.step();
@@ -216,22 +442,22 @@ TEST(Optim, AdamMinimizesQuadratic)
 
 TEST(Optim, ClipGradNormScalesDown)
 {
-    double a = 3.0, b = 4.0;  // norm 5
-    double p1 = 0, p2 = 0;
-    rl::RmsProp opt({&p1, &p2}, {&a, &b});
+    double g[] = {3.0, 4.0};  // norm 5
+    double p[] = {0.0, 0.0};
+    rl::RmsProp opt(p, g);
     opt.clipGradNorm(1.0);
-    EXPECT_NEAR(std::sqrt(a * a + b * b), 1.0, 1e-12);
-    EXPECT_NEAR(a / b, 3.0 / 4.0, 1e-12);  // direction preserved
+    EXPECT_NEAR(std::sqrt(g[0] * g[0] + g[1] * g[1]), 1.0, 1e-12);
+    EXPECT_NEAR(g[0] / g[1], 3.0 / 4.0, 1e-12);  // direction preserved
 }
 
 TEST(Optim, ClipGradNormNoopBelowThreshold)
 {
-    double a = 0.3, b = 0.4;
-    double p = 0;
-    rl::RmsProp opt({&p, &p}, {&a, &b});
+    double g[] = {0.3, 0.4};
+    double p[] = {0.0, 0.0};
+    rl::RmsProp opt(p, g);
     opt.clipGradNorm(1.0);
-    EXPECT_DOUBLE_EQ(a, 0.3);
-    EXPECT_DOUBLE_EQ(b, 0.4);
+    EXPECT_DOUBLE_EQ(g[0], 0.3);
+    EXPECT_DOUBLE_EQ(g[1], 0.4);
 }
 
 // ------------------------------------------------------------ env/agent --
@@ -354,6 +580,49 @@ TEST(A2c, PolicyImprovesOverEpisodes)
         late += r.sampledFitness[400 + i];
     }
     EXPECT_GT(late, early);
+}
+
+// -------------------------------------------------------- attribution ---
+
+TEST(RlProfile, A2cSearchTimeIsAttributed)
+{
+    // At profile level, the time of an A2C search is nearly all inside
+    // its rl.rollout and rl.update scopes: under 10% is left as
+    // unattributed opt.search self time (network set-up and the loop).
+    const obs::MetricsLevel saved = obs::metricsLevel();
+    obs::setMetricsLevel(obs::MetricsLevel::Profile);
+    obs::Profiler::global().reset();
+    auto p = m3e::makeProblem(dnn::TaskType::Mix, accel::Setting::S2, 16.0,
+                              12, 1);
+    rl::A2c agent(33);  // Table IV width
+    opt::SearchOptions opts;
+    opts.sampleBudget = 60;
+    agent.search(p->evaluator(), opts);
+    std::vector<obs::ProfileRow> rows = obs::Profiler::global().rows();
+    obs::Tracer::global().drain();  // don't leak spans into later tests
+    obs::Profiler::global().reset();
+    obs::setMetricsLevel(saved);
+
+    auto find = [&](const std::string& path) -> const obs::ProfileRow* {
+        for (const obs::ProfileRow& r : rows)
+            if (r.path == path)
+                return &r;
+        return nullptr;
+    };
+    const obs::ProfileRow* search = find("opt.search");
+    ASSERT_NE(search, nullptr);
+    ASSERT_GT(search->totalSeconds, 0.0);
+    const obs::ProfileRow* rollout = find("opt.search/rl.rollout");
+    const obs::ProfileRow* update = find("opt.search/rl.update");
+    const obs::ProfileRow* step =
+        find("opt.search/rl.update/rl.optim.step");
+    ASSERT_NE(rollout, nullptr);
+    ASSERT_NE(update, nullptr);
+    ASSERT_NE(step, nullptr);
+    EXPECT_EQ(rollout->count, 60);
+    EXPECT_EQ(update->count, 60);
+    EXPECT_EQ(step->count, 120);  // actor and critic
+    EXPECT_LT(search->selfSeconds / search->totalSeconds, 0.10);
 }
 
 // ------------------------------------------------------------- golden ---
