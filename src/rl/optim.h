@@ -11,7 +11,8 @@ namespace magma::rl {
  * Gradient-descent optimizers over a parameter span and the gradient
  * span of the same length and order, e.g. Mlp::params() / Mlp::grads()
  * (Table IV: A2C uses RMSProp lr 0.0007, PPO2 uses Adam lr 0.00025).
- * `step` applies one update and does NOT zero the gradients.
+ * `step` applies one update and does NOT zero the gradients. The spans
+ * are views: their storage must outlive the optimizer and not move.
  */
 class GradOptimizer {
   public:
