@@ -82,7 +82,7 @@ main(int argc, char** argv)
     for (sched::Objective o : objectives) {
         sched::MappingEvaluator scalar(
             problem->group(), problem->platform(), problem->costModel(),
-            sched::BwPolicy::Proportional, nullptr, o);
+            sched::BwPolicy::Proportional, o);
         opt::MagmaGa ga(args.seed);
         opt::SearchOptions opts;
         opts.sampleBudget = budget;

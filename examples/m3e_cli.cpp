@@ -10,7 +10,7 @@
  *           [--bw GBPS] [--group N] [--budget N] [--seed N]
  *           [--method NAME | --all] [--objective NAME]
  *           [--objectives LIST] [--front-out FILE] [--flexible]
- *           [--timeline] [--threads N] [--eval flat|reference] [--stats]
+ *           [--timeline] [--threads N] [--stats]
  *           [--report FILE] [--metrics-out FILE] [--trace-out FILE]
  *           [--list-methods]
  *
@@ -24,18 +24,10 @@
  * MAGMA_THREADS env var / hardware concurrency); results are identical
  * at every thread count — only wall-clock changes.
  *
- * --eval selects the evaluation kernel: "flat" (default) scores
- * candidates through the allocation-free sched::FlatEvaluator fast
- * path, "reference" through the original MappingEvaluator object path.
- * The two are bitwise identical on every candidate, so this flag never
- * changes results — it is the fallback lever if the fast path ever
- * misbehaves on new hardware.
- *
- * --stats prints the process-wide exec::CostCache counters (hits, misses,
- * entries) after the run — how much cost-model work memoization skipped —
- * read back through the obs::MetricsRegistry gauges, plus the eval-engine
- * counters when the observability level recorded them, plus (at
- * MAGMA_METRICS=profile) the top-10 profiler nodes by self time.
+ * --stats prints the eval-engine counters after the run, read back
+ * through the obs::MetricsRegistry when the observability level
+ * recorded them, plus (at MAGMA_METRICS=profile) the top-10 profiler
+ * nodes by self time.
  *
  * --metrics-out FILE writes the whole process metrics registry (and, at
  * MAGMA_METRICS=trace or profile, the drained span trace and profiler
@@ -75,7 +67,6 @@
 #include "analysis/timeline.h"
 #include "api/registry.h"
 #include "api/runner.h"
-#include "exec/cost_cache.h"
 #include "m3e/factory.h"
 #include "mo/pareto.h"
 #include "obs/snapshot.h"
@@ -193,9 +184,6 @@ parse(int argc, char** argv)
             a.stats = true;
         else if (flag == "--threads")
             a.exp.search.threads = std::stoi(need(i++));
-        else if (flag == "--eval")
-            a.exp.search.eval =
-                parseOrDie(sched::evalModeFromName, need(i++));
         else if (flag == "--report")
             a.reportPath = need(i++);
         else if (flag == "--metrics-out")
@@ -375,26 +363,10 @@ main(int argc, char** argv)
     }
 
     if (args.stats) {
-        // Touch the global cache so its gauge provider is registered,
-        // then read everything back through the registry — the same
-        // numbers --metrics-out snapshots.
-        exec::CostCache::global();
+        // Read back through the registry — the same numbers
+        // --metrics-out snapshots.
         obs::MetricsSnapshot snap = obs::SnapshotWriter::capture(
             "m3e_cli", obs::MetricsRegistry::global());
-        auto gauge = [&](const char* name) {
-            const obs::GaugeSnap* g = snap.findGauge(name);
-            return static_cast<long long>(g ? g->value : 0.0);
-        };
-        const obs::GaugeSnap* rate =
-            snap.findGauge("exec.cost_cache.hit_rate");
-        // magma-lint: allow(double-format): console stats, never
-        // reparsed (the machine-readable path is --metrics-out).
-        std::printf("\ncost cache: %lld hits / %lld misses (%.1f%% hit "
-                    "rate), %lld entries\n",
-                    gauge("exec.cost_cache.hits"),
-                    gauge("exec.cost_cache.misses"),
-                    100.0 * (rate ? rate->value : 0.0),
-                    gauge("exec.cost_cache.entries"));
         const obs::CounterSnap* cand =
             snap.findCounter("exec.eval.candidates");
         if (cand) {
@@ -402,12 +374,10 @@ main(int argc, char** argv)
                 const obs::CounterSnap* c = snap.findCounter(name);
                 return static_cast<long long>(c ? c->value : 0);
             };
-            std::printf("eval engine: %lld candidates in %lld batches "
-                        "(%lld flat / %lld reference), %lld singles\n",
+            std::printf("\neval engine: %lld candidates in %lld batches, "
+                        "%lld singles\n",
                         static_cast<long long>(cand->value),
                         counter("exec.eval.batches"),
-                        counter("sched.flat.candidates"),
-                        counter("sched.reference.candidates"),
                         counter("exec.eval.singles"));
         }
         if (!snap.profile.empty()) {

@@ -35,7 +35,7 @@
  *
  * --metrics-out FILE writes the process metrics registry — per-tenant
  * serve.wait_seconds/.service_seconds histograms, request counters,
- * EvalEngine/CostCache gauges, and at MAGMA_METRICS=trace or profile
+ * EvalEngine counters, and at MAGMA_METRICS=trace or profile
  * the drained span trace (plus the profiler tree at profile) — as a
  * schema-1 obs::SnapshotWriter JSON artifact, round-trip-verified.
  * --trace-out FILE exports the drained span trace as Chrome
@@ -53,7 +53,6 @@
 
 #include <chrono>
 
-#include "exec/cost_cache.h"
 #include "obs/snapshot.h"
 #include "obs/trace_export.h"
 #include "serve/service.h"
@@ -237,7 +236,6 @@ main(int argc, char** argv)
 
     serve::ServiceStats s = service.stats();
     serve::StoreStats st = service.store().stats();
-    exec::CostCacheStats cc = exec::CostCache::global().stats();
     std::printf("\nserved %lld requests in %.2f s (%.1f req/s): %lld cold, "
                 "%lld warm\n",
                 static_cast<long long>(s.served), wall,
@@ -261,11 +259,6 @@ main(int argc, char** argv)
                 static_cast<long long>(st.coarseHits),
                 static_cast<long long>(st.lookups),
                 st.meanTransferQuality());
-    std::printf("cost cache: %lld hits / %lld misses (%.0f%% hit rate), "
-                "%lld entries\n",
-                static_cast<long long>(cc.hits),
-                static_cast<long long>(cc.misses), 100.0 * cc.hitRate(),
-                static_cast<long long>(cc.entries));
 
     service.stop();
 

@@ -71,7 +71,7 @@ main(int argc, char** argv)
     for (sched::Objective o : lenses) {
         sched::MappingEvaluator scalar(
             problem->group(), problem->platform(), problem->costModel(),
-            sched::BwPolicy::Proportional, nullptr, o);
+            sched::BwPolicy::Proportional, o);
         opt::MagmaGa ga(seed);
         opt::SearchOptions opts;
         opts.sampleBudget = budget;

@@ -14,16 +14,13 @@ using namespace textio;
 
 namespace {
 
-/** parseInt restricted to [1, max]. */
-int64_t
-parseAtLeastOne(const std::string& key, const std::string& value,
-                long long max)
+void
+requireAtLeastOne(const char* key, long long v)
 {
-    long long v = parseInt(key, value);
-    if (v < 1 || v > max)
-        throw std::invalid_argument(key + ": need an integer >= 1, got '" +
-                                    value + "'");
-    return v;
+    if (v < 1)
+        throw std::invalid_argument(std::string(key) +
+                                    ": need an integer >= 1, got '" +
+                                    std::to_string(v) + "'");
 }
 
 }  // namespace
@@ -53,22 +50,34 @@ ProblemSpec::applyKey(const std::string& key, const std::string& value)
         setting = accel::settingFromName(value);
     else if (key == "flexible")
         flexible = parseBool(key, value);
-    else if (key == "system_bw_gbps") {
-        // The schedule simulation makes no progress at zero bandwidth.
-        double bw = parseDouble(key, value);
-        if (!std::isfinite(bw) || bw <= 0.0)
-            throw std::invalid_argument(key + ": need a finite number > 0, "
-                                              "got '" + value + "'");
-        systemBwGbps = bw;
-    } else if (key == "group_size")
-        groupSize = static_cast<int>(parseAtLeastOne(key, value, INT_MAX));
-    else if (key == "bw_policy")
+    else if (key == "system_bw_gbps")
+        systemBwGbps = parseDouble(key, value);
+    else if (key == "group_size") {
+        long long g = parseInt(key, value);
+        if (g < INT_MIN || g > INT_MAX)
+            throw std::invalid_argument(key + ": out of range, got '" +
+                                        value + "'");
+        groupSize = static_cast<int>(g);
+    } else if (key == "bw_policy")
         bwPolicy = sched::bwPolicyFromName(value);
     else if (key == "workload_seed")
         workloadSeed = parseUint(key, value);
     else
         return false;
+    validate();
     return true;
+}
+
+void
+ProblemSpec::validate() const
+{
+    // The schedule simulation makes no progress at zero bandwidth;
+    // negative or NaN bandwidth and empty groups yield inf or nothing.
+    if (!std::isfinite(systemBwGbps) || systemBwGbps <= 0.0)
+        throw std::invalid_argument("system_bw_gbps: need a finite number "
+                                    "> 0, got '" +
+                                    formatDouble(systemBwGbps) + "'");
+    requireAtLeastOne("group_size", groupSize);
 }
 
 ProblemSpec
@@ -95,7 +104,6 @@ SearchSpec::toText() const
        << "sample_budget=" << sampleBudget << '\n'
        << "seed=" << seed << '\n'
        << "threads=" << threads << '\n'
-       << "eval=" << sched::evalModeName(eval) << '\n'
        << "record_convergence=" << (recordConvergence ? 1 : 0) << '\n'
        << "record_samples=" << (recordSamples ? 1 : 0) << '\n'
        << "warm_start=" << (warmStart ? 1 : 0) << '\n';
@@ -112,14 +120,19 @@ SearchSpec::applyKey(const std::string& key, const std::string& value)
     else if (key == "objectives")
         objectives = sched::objectiveListFromName(value);
     else if (key == "sample_budget")
-        sampleBudget = parseAtLeastOne(key, value, LLONG_MAX);
+        sampleBudget = parseInt(key, value);
     else if (key == "seed")
         seed = parseUint(key, value);
     else if (key == "threads")
         threads = static_cast<int>(parseInt(key, value));
-    else if (key == "eval")
-        eval = sched::evalModeFromName(value);
-    else if (key == "record_convergence")
+    else if (key == "eval") {
+        // Earlier versions selected an evaluation kernel here; both gave
+        // bitwise-identical results, so old specs and reports load with
+        // the key ignored.
+        if (value != "flat" && value != "reference")
+            throw std::invalid_argument("eval: unknown value '" + value +
+                                        "' (flat|reference)");
+    } else if (key == "record_convergence")
         recordConvergence = parseBool(key, value);
     else if (key == "record_samples")
         recordSamples = parseBool(key, value);
@@ -127,7 +140,14 @@ SearchSpec::applyKey(const std::string& key, const std::string& value)
         warmStart = parseBool(key, value);
     else
         return false;
+    validate();
     return true;
+}
+
+void
+SearchSpec::validate() const
+{
+    requireAtLeastOne("sample_budget", sampleBudget);
 }
 
 SearchSpec

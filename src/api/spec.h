@@ -9,7 +9,6 @@
 #include "dnn/model.h"
 #include "sched/bw_allocator.h"
 #include "sched/evaluator.h"
-#include "sched/flat_eval.h"
 
 namespace magma::api {
 
@@ -40,9 +39,16 @@ struct ProblemSpec {
     /**
      * Apply one key=value pair; returns false when the key is not a
      * ProblemSpec key (composite formats dispatch on this), throws on a
-     * known key with a bad value.
+     * known key with a bad value (a value validate() rejects included).
      */
     bool applyKey(const std::string& key, const std::string& value);
+    /**
+     * Throws std::invalid_argument unless every field is one the
+     * simulation can run: system_bw_gbps finite and > 0, group_size
+     * >= 1. The one definition of that domain, shared by applyKey and
+     * serve::MappingService admission.
+     */
+    void validate() const;
 
     bool operator==(const ProblemSpec&) const = default;
 };
@@ -53,8 +59,9 @@ struct ProblemSpec {
  * and seed. Same text discipline as ProblemSpec.
  *
  * Keys: method, objective, objectives, sample_budget, seed, threads,
- * eval, record_convergence, record_samples, warm_start. sample_budget
- * must be >= 1.
+ * record_convergence, record_samples, warm_start. sample_budget must be
+ * >= 1. Readers also accept and ignore `eval=flat|reference`, a key of
+ * earlier versions that selected an evaluation kernel.
  */
 struct SearchSpec {
     std::string method = "MAGMA";  ///< registry name or alias
@@ -71,9 +78,6 @@ struct SearchSpec {
     int64_t sampleBudget = 10000;  ///< paper's main-experiment budget
     uint64_t seed = 1;             ///< optimizer seed
     int threads = 1;  ///< evaluation lanes (0 = auto, see SearchOptions)
-    /** Evaluation kernel: the flat fast path (default) or the reference
-     * object path — bitwise-identical results, different wall-clock. */
-    sched::EvalMode eval = sched::EvalMode::Flat;
     bool recordConvergence = false;
     bool recordSamples = false;
     /** Allow store-seeded warm starts when served (serve::MapRequest);
@@ -83,6 +87,8 @@ struct SearchSpec {
     std::string toText() const;
     static SearchSpec fromText(const std::string& text);
     bool applyKey(const std::string& key, const std::string& value);
+    /** Throws std::invalid_argument unless sample_budget >= 1. */
+    void validate() const;
 
     bool operator==(const SearchSpec&) const = default;
 };

@@ -160,7 +160,7 @@ EventEngine::step(const WorkloadEvent& ev)
     }
 
     sched::MappingEvaluator eval(group, platform_, model_, base_.bwPolicy,
-                                 nullptr, cfg_.search.objective);
+                                 cfg_.search.objective);
     const int pop = std::clamp(eval.groupSize(), 8, 100);
     const int64_t warm_budget =
         cfg_.remapBudget > 0
@@ -175,7 +175,6 @@ EventEngine::step(const WorkloadEvent& ev)
     opt::SearchOptions opts;
     opts.sampleBudget = cfg_.search.sampleBudget;
     opts.threads = cfg_.search.threads;
-    opts.evalMode = cfg_.search.eval;
     serve::Fingerprint fp =
         serve::fingerprintOf(group, platform_, cfg_.search.objective);
     std::optional<serve::MappingStore::Hit> hit;

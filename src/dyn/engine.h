@@ -19,7 +19,7 @@ namespace magma::dyn {
 
 /**
  * Knobs of one dynamic replay. `search` supplies the method, objective,
- * seed, thread count, eval kernel and — as `sampleBudget` — the COLD
+ * seed, thread count and — as `sampleBudget` — the COLD
  * search budget (what an event pays when no previous knowledge applies).
  * `remapBudget` is the incremental per-event budget once knowledge
  * exists (<= 0 selects sampleBudget / 4, the Table V warm regime);

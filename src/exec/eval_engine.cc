@@ -12,8 +12,6 @@ struct EngineMetrics {
     obs::Counter& batches;
     obs::Counter& candidates;
     obs::Counter& singles;
-    obs::Counter& flatCandidates;
-    obs::Counter& referenceCandidates;
     obs::Histogram& batchSize;
 };
 
@@ -24,22 +22,18 @@ engineMetrics()
     static EngineMetrics m{reg.counter("exec.eval.batches"),
                            reg.counter("exec.eval.candidates"),
                            reg.counter("exec.eval.singles"),
-                           reg.counter("sched.flat.candidates"),
-                           reg.counter("sched.reference.candidates"),
                            reg.histogram("exec.eval.batch_size")};
     return m;
 }
 
 void
-countBatch(size_t count, bool flat)
+countBatch(size_t count)
 {
     if (!obs::countersOn())
         return;
     EngineMetrics& m = engineMetrics();
     m.batches.add();
     m.candidates.add(static_cast<int64_t>(count));
-    (flat ? m.flatCandidates : m.referenceCandidates)
-        .add(static_cast<int64_t>(count));
     m.batchSize.record(static_cast<double>(count));
 }
 
@@ -48,28 +42,22 @@ countBatch(size_t count, bool flat)
 std::vector<double>
 EvalEngine::evaluateBatch(const sched::Mapping* batch, size_t count) const
 {
-    countBatch(count, flat_ != nullptr);
+    countBatch(count);
     // span payload: i = batch size
     obs::Span span("exec.eval.batch", static_cast<int64_t>(count));
     PROFILE_SCOPE("exec.eval.batch");
     std::vector<double> fitness(count);
-    if (flat_) {
-        if (pool_->numThreads() == 1) {
-            // Serial flat path: skip the pool's std::function dispatch —
-            // one tight loop over lane 0's scratch.
-            sched::EvalScratch& s = scratch_[0];
-            for (size_t i = 0; i < count; ++i)
-                fitness[i] = flat_->fitness(batch[i], s);
-        } else {
-            pool_->parallelForLane(
-                static_cast<int64_t>(count), [&](int lane, int64_t i) {
-                    fitness[i] = flat_->fitness(batch[i], scratch_[lane]);
-                });
-        }
+    if (pool_->numThreads() == 1) {
+        // Serial path: skip the pool's std::function dispatch — one
+        // tight loop over lane 0's scratch.
+        sched::EvalScratch& s = scratch_[0];
+        for (size_t i = 0; i < count; ++i)
+            fitness[i] = flat_.fitness(batch[i], s);
     } else {
-        pool_->parallelFor(static_cast<int64_t>(count), [&](int64_t i) {
-            fitness[i] = eval_->fitness(batch[i]);
-        });
+        pool_->parallelForLane(
+            static_cast<int64_t>(count), [&](int lane, int64_t i) {
+                fitness[i] = flat_.fitness(batch[i], scratch_[lane]);
+            });
     }
     return fitness;
 }
@@ -77,33 +65,25 @@ EvalEngine::evaluateBatch(const sched::Mapping* batch, size_t count) const
 std::vector<sched::SimPoint>
 EvalEngine::simulateBatch(const sched::Mapping* batch, size_t count) const
 {
-    countBatch(count, flat_ != nullptr);
+    countBatch(count);
     // span payload: i = batch size
     obs::Span span("exec.eval.sim_batch", static_cast<int64_t>(count));
     PROFILE_SCOPE("exec.eval.sim_batch");
     std::vector<sched::SimPoint> out(count);
-    if (flat_) {
-        auto one = [this](const sched::Mapping& m, sched::EvalScratch& s) {
-            eval_->countSample();
-            flat_->simulate(m, s, false);
-            return sched::SimPoint{s.makespanSeconds(),
-                                   flat_->totalJoules(m)};
-        };
-        if (pool_->numThreads() == 1) {
-            sched::EvalScratch& s = scratch_[0];
-            for (size_t i = 0; i < count; ++i)
-                out[i] = one(batch[i], s);
-        } else {
-            pool_->parallelForLane(
-                static_cast<int64_t>(count), [&](int lane, int64_t i) {
-                    out[i] = one(batch[i], scratch_[lane]);
-                });
-        }
+    auto one = [this](const sched::Mapping& m, sched::EvalScratch& s) {
+        eval_->countSample();
+        flat_.simulate(m, s, false);
+        return sched::SimPoint{s.makespanSeconds(), flat_.totalJoules(m)};
+    };
+    if (pool_->numThreads() == 1) {
+        sched::EvalScratch& s = scratch_[0];
+        for (size_t i = 0; i < count; ++i)
+            out[i] = one(batch[i], s);
     } else {
-        pool_->parallelFor(static_cast<int64_t>(count), [&](int64_t i) {
-            sched::ScheduleResult r = eval_->evaluate(batch[i]);
-            out[i] = {r.makespanSeconds, eval_->totalJoules(batch[i])};
-        });
+        pool_->parallelForLane(
+            static_cast<int64_t>(count), [&](int lane, int64_t i) {
+                out[i] = one(batch[i], scratch_[lane]);
+            });
     }
     return out;
 }
@@ -113,9 +93,7 @@ EvalEngine::fitnessOne(const sched::Mapping& m) const
 {
     if (obs::countersOn())
         engineMetrics().singles.add();
-    if (flat_)
-        return flat_->fitness(m, scratch_[0]);
-    return eval_->fitness(m);
+    return flat_.fitness(m, scratch_[0]);
 }
 
 }  // namespace magma::exec

@@ -1,19 +1,13 @@
 #include "m3e/problem.h"
 
-#include "exec/cost_cache.h"
-
 namespace magma::m3e {
 
 Problem::Problem(dnn::JobGroup group, accel::Platform platform,
                  sched::BwPolicy policy, sched::Objective objective)
     : group_(std::move(group)), platform_(std::move(platform))
 {
-    // The process-wide cost cache makes repeated problem construction
-    // (BW sweeps, combination sweeps, repeated trials) skip cost-model
-    // queries already answered for the same (layer, sub-accel) pair.
     evaluator_ = std::make_unique<sched::MappingEvaluator>(
-        group_, platform_, model_, policy, &exec::CostCache::global(),
-        objective);
+        group_, platform_, model_, policy, objective);
 }
 
 std::unique_ptr<Problem>

@@ -39,7 +39,7 @@ class MultiObjective {
      * (order defines the reported vectors; entry 0 is the primary used
      * for scalar summaries). Spends opts.sampleBudget simulations total
      * — each candidate is simulated once for ALL objectives. Uses
-     * opts.threads/evalMode/engine/seeds; recordConvergence and
+     * opts.threads/engine/seeds; recordConvergence and
      * recordSamples are scalar-path knobs and are ignored.
      */
     virtual MoSearchResult searchMo(
@@ -70,10 +70,10 @@ struct Nsga2Config {
  * for all objectives).
  *
  * Determinism matches every optimizer in the repo: at a fixed seed the
- * returned front is bitwise identical across thread counts and
- * evaluation kernels — all randomness flows through the inherited rng_
- * on the calling thread, scoring results arrive in submission order,
- * and selection ties break on stable indices.
+ * returned front is bitwise identical across thread counts — all
+ * randomness flows through the inherited rng_ on the calling thread,
+ * scoring results arrive in submission order, and selection ties break
+ * on stable indices.
  *
  * As an opt::Optimizer (registry name "NSGA-II"), a scalar search runs
  * the same generational loop on the single-objective vector

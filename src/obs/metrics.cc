@@ -322,28 +322,11 @@ MetricsRegistry::findHistogram(const std::string& name) const
 }
 
 void
-MetricsRegistry::addGaugeProvider(std::function<void(MetricsRegistry&)> fn)
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    providers_.push_back(std::move(fn));
-}
-
-void
 MetricsRegistry::visit(
     const std::function<void(const std::string&, const Counter&)>& c,
     const std::function<void(const std::string&, const Gauge&)>& g,
     const std::function<void(const std::string&, const Histogram&)>& h)
 {
-    // Providers register/update gauges, which needs the mutex — run them
-    // on a copied list first, then read under the lock.
-    std::vector<std::function<void(MetricsRegistry&)>> providers;
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        providers = providers_;
-    }
-    for (auto& p : providers)
-        p(*this);
-
     std::lock_guard<std::mutex> lk(mu_);
     if (c)
         for (const auto& [name, m] : counters_)

@@ -216,11 +216,6 @@ class Histogram {
  * Names are dotted paths ("exec.eval.candidates",
  * "serve.wait_seconds.tenant-0"); each kind has its own namespace.
  *
- * Gauge providers are pull-model callbacks run by snapshot() right
- * before reading, so subsystems with their own internal counters (the
- * exec::CostCache) publish point-in-time gauges without a write per
- * event.
- *
  * MetricsRegistry::global() is the process registry; instantiating one
  * locally isolates a component's metrics (bench_serve_throughput keys
  * one per trace replay so configurations don't bleed into each other).
@@ -240,19 +235,16 @@ class MetricsRegistry {
     const Gauge* findGauge(const std::string& name) const;
     const Histogram* findHistogram(const std::string& name) const;
 
-    /** Run fn(registry) before every snapshot()/visit() read. */
-    void addGaugeProvider(std::function<void(MetricsRegistry&)> fn);
-
     /**
-     * Run the gauge providers, then visit every metric (name-sorted per
-     * kind) — the substrate of SnapshotWriter::capture.
+     * Visit every metric (name-sorted per kind) — the substrate of
+     * SnapshotWriter::capture.
      */
     void visit(
         const std::function<void(const std::string&, const Counter&)>& c,
         const std::function<void(const std::string&, const Gauge&)>& g,
         const std::function<void(const std::string&, const Histogram&)>& h);
 
-    /** Zero every metric (keeps registrations and providers). */
+    /** Zero every metric (keeps registrations). */
     void reset();
 
     static MetricsRegistry& global();
@@ -262,7 +254,6 @@ class MetricsRegistry {
     std::map<std::string, std::unique_ptr<Counter>> counters_;
     std::map<std::string, std::unique_ptr<Gauge>> gauges_;
     std::map<std::string, std::unique_ptr<Histogram>> histograms_;
-    std::vector<std::function<void(MetricsRegistry&)>> providers_;
 };
 
 }  // namespace magma::obs

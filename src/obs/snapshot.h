@@ -121,12 +121,12 @@ struct MetricsSnapshot {
 };
 
 /**
- * Captures a MetricsRegistry (running its gauge providers first) plus —
- * at Trace level and above — the drained Tracer rings, plus — at
- * Profile level — the merged Profiler rows, into a MetricsSnapshot,
- * and writes it as schema-1 JSON. The single definition of the
- * snapshot artifact shared by `--metrics-out` in m3e_cli/m3e_serve,
- * the serve bench telemetry, and the CI metrics-smoke gate.
+ * Captures a MetricsRegistry plus — at Trace level and above — the
+ * drained Tracer rings, plus — at Profile level — the merged Profiler
+ * rows, into a MetricsSnapshot, and writes it as schema-1 JSON. The
+ * single definition of the snapshot artifact shared by `--metrics-out`
+ * in m3e_cli/m3e_serve, the serve bench telemetry, and the CI
+ * metrics-smoke gate.
  */
 class SnapshotWriter {
   public:

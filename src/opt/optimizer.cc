@@ -31,7 +31,7 @@ optMetrics()
 
 SearchRecorder::SearchRecorder(const sched::MappingEvaluator& eval,
                                const SearchOptions& opts)
-    : eval_(&eval), opts_(opts)
+    : opts_(opts)
 {
     obs::MetricsLevel level = obs::effectiveLevel(opts_.metrics);
     obs_counters_ = level != obs::MetricsLevel::Off;
@@ -44,13 +44,12 @@ SearchRecorder::SearchRecorder(const sched::MappingEvaluator& eval,
         // otherwise candidates would be scored against another problem.
         assert(&opts_.engine->evaluator() == &eval);
         engine_ = opts_.engine;
-    } else if (opts_.threads != 1 ||
-               opts_.evalMode == sched::EvalMode::Flat) {
-        // An engine is also built for single-threaded flat searches:
-        // it owns the compiled FlatEvaluator + scratch, and a 1-lane
-        // ThreadPool spawns no threads, so the serial path stays serial.
-        owned_engine_ = std::make_unique<exec::EvalEngine>(
-            eval, opts_.threads, opts_.evalMode);
+    } else {
+        // Single-threaded searches get an engine too: it owns the
+        // compiled FlatEvaluator + scratch, and a 1-lane ThreadPool
+        // spawns no threads, so the serial path stays serial.
+        owned_engine_ = std::make_unique<exec::EvalEngine>(eval,
+                                                           opts_.threads);
         engine_ = owned_engine_.get();
     }
 }
@@ -77,7 +76,7 @@ double
 SearchRecorder::evaluate(const sched::Mapping& m)
 {
     assert(!exhausted());
-    double f = engine_ ? engine_->fitnessOne(m) : eval_->fitness(m);
+    double f = engine_->fitnessOne(m);
     record(m, f);
     if (obs_counters_)
         optMetrics().samples.add();
@@ -94,13 +93,10 @@ SearchRecorder::evaluateBatch(const std::vector<sched::Mapping>& ms)
         return {};
 
     std::vector<double> fitness;
-    if (engine_ && n > 1) {
+    if (n > 1) {
         fitness = engine_->evaluateBatch(ms.data(), n);
     } else {
-        fitness.resize(n);
-        for (size_t i = 0; i < n; ++i)
-            fitness[i] =
-                engine_ ? engine_->fitnessOne(ms[i]) : eval_->fitness(ms[i]);
+        fitness = {engine_->fitnessOne(ms[0])};
     }
     // Sequential bookkeeping in submission order keeps budget accounting
     // and convergence curves identical to the serial path.

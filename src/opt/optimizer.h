@@ -10,7 +10,6 @@
 #include "common/rng.h"
 #include "obs/metrics.h"
 #include "sched/evaluator.h"
-#include "sched/flat_eval.h"
 #include "sched/mapping.h"
 
 namespace magma::exec {
@@ -33,25 +32,16 @@ struct SearchOptions {
     /** Warm-start seeds injected into the initial population (Section V-C). */
     std::vector<sched::Mapping> seeds;
     /**
-     * Evaluation lanes for SearchRecorder::evaluateBatch. 1 keeps the
-     * classic serial path; > 1 builds an exec::EvalEngine internally;
-     * 0 auto-selects (MAGMA_THREADS env var, else hardware concurrency).
-     * The fitness values, budget accounting and convergence curves are
-     * identical at every thread count — only wall-clock changes.
+     * Evaluation lanes of the exec::EvalEngine the SearchRecorder builds
+     * (1 = serial, no worker threads); 0 auto-selects (MAGMA_THREADS env
+     * var, else hardware concurrency). The fitness values, budget
+     * accounting and convergence curves are identical at every thread
+     * count — only wall-clock changes.
      */
     int threads = 1;
     /**
-     * Which evaluation kernel scores candidates: the allocation-free
-     * sched::FlatEvaluator fast path (default) or the reference
-     * MappingEvaluator object path. Bitwise-identical results either
-     * way; Reference is the one-flag fallback (`--eval=reference`).
-     * Ignored when `engine` is set — the engine's own mode wins.
-     */
-    sched::EvalMode evalMode = sched::EvalMode::Flat;
-    /**
      * External batch engine to reuse across searches (overrides
-     * `threads` and `evalMode`). Must outlive the search and wrap the
-     * same evaluator.
+     * `threads`). Must outlive the search and wrap the same evaluator.
      */
     exec::EvalEngine* engine = nullptr;
     /**
@@ -116,14 +106,13 @@ class SearchRecorder {
     /** Finalize and hand out the result. */
     SearchResult finish();
 
-    /** Batch engine in use (null on the pure serial path). */
+    /** Batch engine every candidate is scored through. */
     const exec::EvalEngine* engine() const { return engine_; }
 
   private:
     /** Spend one budget unit on (m, fitness) — the shared bookkeeping. */
     void record(const sched::Mapping& m, double f);
 
-    const sched::MappingEvaluator* eval_;
     SearchOptions opts_;
     SearchResult result_;
     int64_t used_ = 0;

@@ -117,14 +117,13 @@ MappingEvaluator::MappingEvaluator(const dnn::JobGroup& group,
                                    const accel::Platform& platform,
                                    const cost::CostModel& model,
                                    BwPolicy policy,
-                                   exec::CostCache* cost_cache,
                                    Objective objective)
     : group_(&group),
       platform_(&platform),
       allocator_(platform.systemBwGbps, policy),
       objective_(objective)
 {
-    JobAnalyzer analyzer(model, cost_cache);
+    JobAnalyzer analyzer(model);
     table_ = analyzer.analyze(group, platform);
 }
 

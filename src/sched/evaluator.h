@@ -14,10 +14,6 @@
 #include "sched/job_analyzer.h"
 #include "sched/mapping.h"
 
-namespace magma::exec {
-class CostCache;
-}  // namespace magma::exec
-
 namespace magma::sched {
 
 /**
@@ -103,16 +99,13 @@ bool objectiveNeedsEnergy(Objective o);
 class MappingEvaluator {
   public:
     /**
-     * `cost_cache`, when given, memoizes the Job Analyzer's cost-model
-     * queries across evaluator instances (sweeps rebuild tables for the
-     * same layers over and over). `objective` is what `fitness`
-     * maximizes; it is fixed for the evaluator's lifetime.
+     * `objective` is what `fitness` maximizes; it is fixed for the
+     * evaluator's lifetime.
      */
     MappingEvaluator(const dnn::JobGroup& group,
                      const accel::Platform& platform,
                      const cost::CostModel& model,
                      BwPolicy policy = BwPolicy::Proportional,
-                     exec::CostCache* cost_cache = nullptr,
                      Objective objective = Objective::Throughput);
 
     Objective objective() const { return objective_; }

@@ -2,7 +2,6 @@
 #define MAGMA_SCHED_FLAT_EVAL_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "sched/bw_allocator.h"
@@ -10,22 +9,6 @@
 #include "sched/mapping.h"
 
 namespace magma::sched {
-
-/**
- * Which evaluation kernel scores candidates (SearchOptions/SearchSpec
- * `eval`): the allocation-free FlatEvaluator fast path (the default) or
- * the reference MappingEvaluator object path. The two are bitwise
- * identical on every mapping and objective — tests/test_flat_eval.cc and
- * bench_micro_speed's self-check lock that in — so the mode only changes
- * wall-clock, never results.
- */
-enum class EvalMode { Flat, Reference };
-
-/** Mode name ("flat", "reference"). */
-std::string evalModeName(EvalMode m);
-
-/** Parse an evalModeName(); throws std::invalid_argument. */
-EvalMode evalModeFromName(const std::string& name);
 
 /**
  * Per-thread reusable evaluation state. All buffers are sized once (first
@@ -89,9 +72,10 @@ class EvalScratch {
  * Parity contract: for every mapping, fitness()/evaluate() return results
  * bitwise identical to the reference MappingEvaluator — the simulation
  * replays the exact floating-point operation sequence of
- * BwAllocator::run and MappingEvaluator::objectiveValue. Optimizers can
- * therefore switch kernels freely (EvalMode) without perturbing any
- * search trajectory.
+ * BwAllocator::run and MappingEvaluator::objectiveValue. Every search
+ * scores through this kernel (via exec::EvalEngine); MappingEvaluator
+ * stays the reference that tests/test_flat_eval.cc and bench_micro_speed's
+ * self-check compare it against.
  *
  * Thread-safety: immutable after construction; concurrent calls are safe
  * as long as each thread passes its own EvalScratch. Samples are counted
@@ -110,8 +94,9 @@ class FlatEvaluator {
 
     /**
      * Full simulation into `s` (makespan, finish times, optional
-     * timeline); counts one sample. Zero-alloc in steady state: the
-     * scratch's buffers are reused across calls.
+     * timeline). Counts no sample: callers that spend budget count it
+     * themselves, as fitness()/evaluate() do. Zero-alloc in steady
+     * state: the scratch's buffers are reused across calls.
      */
     void simulate(const Mapping& m, EvalScratch& s,
                   bool record_timeline = false) const;

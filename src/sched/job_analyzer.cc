@@ -2,8 +2,6 @@
 
 #include <string>
 
-#include "exec/cost_cache.h"
-
 namespace magma::sched {
 namespace {
 
@@ -36,9 +34,7 @@ JobAnalyzer::analyze(const dnn::JobGroup& group,
             auto it = memo.find(key);
             if (it == memo.end()) {
                 cost::CostResult r =
-                    cache_ ? cache_->analyze(*model_, job.layer, job.batch,
-                                             cfg)
-                           : model_->analyze(job.layer, job.batch, cfg);
+                    model_->analyze(job.layer, job.batch, cfg);
                 JobProfile p;
                 p.noStallSeconds = r.noStallSeconds(cfg);
                 p.reqBwGbps = r.reqBwGbps;

@@ -9,10 +9,6 @@
 #include "cost/cost_model.h"
 #include "dnn/workload.h"
 
-namespace magma::exec {
-class CostCache;
-}  // namespace magma::exec
-
 namespace magma::sched {
 
 /**
@@ -68,16 +64,7 @@ class JobAnalysisTable {
  */
 class JobAnalyzer {
   public:
-    /**
-     * `cache`, when given, memoizes cost-model results process-wide
-     * (exec::CostCache) so repeated analyze() calls — BW sweeps,
-     * sub-accel-combination sweeps, identically-configured cores — skip
-     * the cost model entirely on a hit.
-     */
-    explicit JobAnalyzer(const cost::CostModel& model,
-                         exec::CostCache* cache = nullptr)
-        : model_(&model), cache_(cache)
-    {}
+    explicit JobAnalyzer(const cost::CostModel& model) : model_(&model) {}
 
     /** Build the analysis table for a group on a platform. */
     JobAnalysisTable analyze(const dnn::JobGroup& group,
@@ -88,7 +75,6 @@ class JobAnalyzer {
 
   private:
     const cost::CostModel* model_;
-    exec::CostCache* cache_ = nullptr;
     mutable int64_t last_unique_ = 0;
 };
 

@@ -54,7 +54,7 @@ Fingerprint fingerprintOf(
  * equal keys would run the SAME search apart from the optimizer seed, so
  * the service collapses them into one. Extends the fine fingerprint with
  * every SearchSpec/request field that reaches the result — method,
- * budget, eval mode, warm-start gate, write-back and warm budget —
+ * budget, warm-start gate, write-back and warm budget —
  * EXCEPT the seed: the leader's seed is honored, followers adopt its
  * result (marked MapResponse::coalesced). Tenant and priority are
  * admission metadata, not search inputs, so they never split a key.

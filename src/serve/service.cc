@@ -91,6 +91,15 @@ MappingService::start()
 std::future<MapResponse>
 MappingService::submit(MapRequest req)
 {
+    // Admission: reject what the simulation cannot run before it takes a
+    // queue slot — zero bandwidth would wedge a worker lane for good,
+    // since deadlines are only checked at dequeue.
+    api::ProblemSpec problem = req.problem;
+    if (!req.group.jobs.empty())
+        problem.groupSize = req.group.size();  // the explicit group runs
+    problem.validate();
+    req.search.validate();
+
     Pending p;
     p.req = std::move(req);
     p.enqueued = std::chrono::steady_clock::now();
@@ -513,7 +522,6 @@ MappingService::serveOne(const MapRequest& req, exec::ThreadPool* lane_pool)
     // (or its coarse tier) is known.
     opt::SearchOptions opts;
     opts.sampleBudget = req.search.sampleBudget;
-    opts.evalMode = req.search.eval;
     std::optional<MappingStore::Hit> hit;
     if (req.search.warmStart) {
         PROFILE_SCOPE("serve.store_lookup");
@@ -578,8 +586,7 @@ MappingService::serveOne(const MapRequest& req, exec::ThreadPool* lane_pool)
     // factory's fixed default.
     std::unique_ptr<exec::EvalEngine> engine;
     if (lane_pool) {
-        engine = std::make_unique<exec::EvalEngine>(eval, *lane_pool,
-                                                    req.search.eval);
+        engine = std::make_unique<exec::EvalEngine>(eval, *lane_pool);
         opts.engine = engine.get();
     }
     std::string method =

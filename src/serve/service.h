@@ -177,7 +177,13 @@ class MappingService {
     MappingService(const MappingService&) = delete;
     MappingService& operator=(const MappingService&) = delete;
 
-    /** Enqueue a request; the future resolves when it has been served. */
+    /**
+     * Enqueue a request; the future resolves when it has been served.
+     * Throws std::invalid_argument, without counting or queueing the
+     * request, when its specs fail ProblemSpec/SearchSpec::validate()
+     * (problem.groupSize is only checked when `group` is empty), and
+     * std::runtime_error after stop().
+     */
     std::future<MapResponse> submit(MapRequest req);
 
     /** Launch worker lanes (no-op when already running). */

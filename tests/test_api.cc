@@ -79,8 +79,6 @@ randomSearchSpec(common::Rng& rng)
     s.sampleBudget = 1 + rng.uniformInt(100000);
     s.seed = rng.engine()();
     s.threads = rng.uniformInt(8);
-    s.eval = rng.uniformInt(2) == 1 ? sched::EvalMode::Flat
-                                    : sched::EvalMode::Reference;
     s.recordConvergence = rng.uniformInt(2) == 1;
     s.recordSamples = rng.uniformInt(2) == 1;
     s.warmStart = rng.uniformInt(2) == 1;
@@ -177,6 +175,36 @@ TEST(SpecText, RejectsUnknownKeysAndBadValues)
     EXPECT_NO_THROW(ExperimentSpec::fromText("task=Mix\nmethod=PSO\n"));
     EXPECT_THROW(ExperimentSpec::fromText("population=9\n"),
                  std::invalid_argument);
+}
+
+TEST(SpecText, AcceptsAndIgnoresRetiredEvalKey)
+{
+    // eval= selected one of two bitwise-identical evaluation kernels in
+    // earlier versions; specs and reports that carry it still load.
+    for (const char* v : {"flat", "reference"}) {
+        std::string key = std::string("eval=") + v + "\n";
+        EXPECT_EQ(SearchSpec::fromText(key), SearchSpec{}) << v;
+        EXPECT_EQ(ExperimentSpec::fromText("task=Mix\n" + key),
+                  ExperimentSpec::fromText("task=Mix\n"))
+            << v;
+    }
+    EXPECT_THROW(SearchSpec::fromText("eval=turbo\n"),
+                 std::invalid_argument);
+    EXPECT_EQ(SearchSpec{}.toText().find("eval="), std::string::npos);
+
+    // A v1 run report written with the key reloads to the same report.
+    ProblemSpec ps;
+    ps.groupSize = 6;
+    SearchSpec ss;
+    ss.sampleBudget = 40;
+    api::Runner runner;
+    RunReport rep = runner.run(ps, ss);
+    std::string text = rep.toText();
+    size_t at = text.find("threads=");
+    ASSERT_NE(at, std::string::npos);
+    text.insert(text.find('\n', at) + 1, "eval=reference\n");
+    EXPECT_EQ(RunReport::fromText(text), rep);
+    EXPECT_EQ(RunReport::fromText(text).toText(), rep.toText());
 }
 
 TEST(SpecText, RejectsValuesTheSimulationCannotRun)

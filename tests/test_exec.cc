@@ -1,7 +1,7 @@
 /**
  * @file Tests for the parallel search-execution engine (src/exec/):
- * ThreadPool, EvalEngine batch evaluation, CostCache memoization, and the
- * serial-vs-batch parity of every converted optimizer.
+ * ThreadPool, EvalEngine batch evaluation, and the serial-vs-batch
+ * parity of every converted optimizer.
  */
 
 #include <atomic>
@@ -11,7 +11,6 @@
 
 #include <gtest/gtest.h>
 
-#include "exec/cost_cache.h"
 #include "exec/eval_engine.h"
 #include "exec/thread_pool.h"
 #include "m3e/factory.h"
@@ -260,126 +259,4 @@ TEST(OptimizerBatchParity, Tbpsa)
 TEST(OptimizerBatchParity, Random)
 {
     expectSerialBatchParity(m3e::Method::Random);
-}
-
-// ---------------------------------------------------------- CostCache ---
-
-TEST(CostCache, HitReturnsColdMissValue)
-{
-    exec::CostCache cache(4);
-    cost::CostModel model;
-    cost::SubAccelConfig cfg;
-    dnn::LayerShape layer = dnn::conv(64, 32, 14, 14, 3, 3);
-
-    cost::CostResult direct = model.analyze(layer, 4, cfg);
-    cost::CostResult miss = cache.analyze(model, layer, 4, cfg);
-    cost::CostResult hit = cache.analyze(model, layer, 4, cfg);
-
-    EXPECT_EQ(miss.noStallCycles, direct.noStallCycles);
-    EXPECT_EQ(miss.reqBwGbps, direct.reqBwGbps);
-    EXPECT_EQ(miss.energyPj, direct.energyPj);
-    EXPECT_EQ(miss.dramBytes, direct.dramBytes);
-    EXPECT_EQ(miss.macs, direct.macs);
-
-    EXPECT_EQ(hit.noStallCycles, miss.noStallCycles);
-    EXPECT_EQ(hit.reqBwGbps, miss.reqBwGbps);
-    EXPECT_EQ(hit.energyPj, miss.energyPj);
-
-    exec::CostCacheStats s = cache.stats();
-    EXPECT_EQ(s.hits, 1);
-    EXPECT_EQ(s.misses, 1);
-    EXPECT_EQ(s.entries, 1);
-    EXPECT_DOUBLE_EQ(s.hitRate(), 0.5);
-}
-
-TEST(CostCache, DiscriminatesConfigAndModelParams)
-{
-    exec::CostCache cache(4);
-    cost::CostModel model;
-    dnn::LayerShape layer = dnn::conv(64, 32, 14, 14, 3, 3);
-
-    cost::SubAccelConfig hb;
-    cost::SubAccelConfig lb;
-    lb.dataflow = cost::DataflowStyle::LB;
-    cache.analyze(model, layer, 4, hb);
-    cache.analyze(model, layer, 4, lb);    // different dataflow
-    cache.analyze(model, layer, 8, hb);    // different batch
-    cost::SubAccelConfig tall = hb;
-    tall.rows = 128;
-    cache.analyze(model, layer, 4, tall);  // different shape
-    cost::EnergyParams pricey;
-    pricey.dramPjPerByte = 400.0;
-    cost::CostModel model2(pricey);
-    cache.analyze(model2, layer, 4, hb);   // different energy params
-
-    exec::CostCacheStats s = cache.stats();
-    EXPECT_EQ(s.hits, 0);
-    EXPECT_EQ(s.misses, 5);
-    EXPECT_EQ(s.entries, 5);
-}
-
-TEST(CostCache, ClearResetsEverything)
-{
-    exec::CostCache cache(2);
-    cost::CostModel model;
-    cost::SubAccelConfig cfg;
-    dnn::LayerShape layer = dnn::fc(256, 128);
-    cache.analyze(model, layer, 1, cfg);
-    cache.analyze(model, layer, 1, cfg);
-    cache.clear();
-    exec::CostCacheStats s = cache.stats();
-    EXPECT_EQ(s.hits, 0);
-    EXPECT_EQ(s.misses, 0);
-    EXPECT_EQ(s.entries, 0);
-}
-
-TEST(CostCache, JobAnalyzerTableIdenticalWithAndWithoutCache)
-{
-    dnn::WorkloadGenerator gen(3);
-    dnn::JobGroup group = gen.makeGroup(dnn::TaskType::Mix, 24);
-    accel::Platform platform = accel::makeSetting(accel::Setting::S2, 8.0);
-    cost::CostModel model;
-
-    sched::JobAnalyzer plain(model);
-    sched::JobAnalysisTable cold = plain.analyze(group, platform);
-
-    exec::CostCache cache;
-    sched::JobAnalyzer cached(model, &cache);
-    sched::JobAnalysisTable warm1 = cached.analyze(group, platform);
-    sched::JobAnalysisTable warm2 = cached.analyze(group, platform);
-    EXPECT_GT(cache.stats().hits, 0);
-
-    ASSERT_EQ(cold.numJobs(), warm1.numJobs());
-    ASSERT_EQ(cold.numAccels(), warm1.numAccels());
-    for (int j = 0; j < cold.numJobs(); ++j) {
-        for (int a = 0; a < cold.numAccels(); ++a) {
-            const sched::JobProfile& x = cold.lookup(j, a);
-            const sched::JobProfile& y = warm1.lookup(j, a);
-            const sched::JobProfile& z = warm2.lookup(j, a);
-            EXPECT_EQ(x.noStallSeconds, y.noStallSeconds);
-            EXPECT_EQ(x.reqBwGbps, y.reqBwGbps);
-            EXPECT_EQ(x.energyPj, y.energyPj);
-            EXPECT_EQ(y.noStallSeconds, z.noStallSeconds);
-            EXPECT_EQ(y.reqBwGbps, z.reqBwGbps);
-            EXPECT_EQ(y.energyPj, z.energyPj);
-        }
-    }
-}
-
-TEST(CostCache, ConcurrentLookupsAreSafeAndConsistent)
-{
-    exec::CostCache cache;
-    cost::CostModel model;
-    cost::SubAccelConfig cfg;
-    dnn::LayerShape layer = dnn::conv(128, 64, 28, 28, 3, 3);
-    cost::CostResult ref = model.analyze(layer, 4, cfg);
-
-    exec::ThreadPool pool(8);
-    std::vector<double> cycles(200);
-    pool.parallelFor(200, [&](int64_t i) {
-        cycles[i] = cache.analyze(model, layer, 4, cfg).noStallCycles;
-    });
-    for (double c : cycles)
-        EXPECT_EQ(c, ref.noStallCycles);
-    EXPECT_EQ(cache.stats().entries, 1);
 }

@@ -223,29 +223,24 @@ TEST(VectorFitness, BitwiseEqualsPerObjectiveScalarEvaluation)
     auto base = mixS2Problem(group);
     common::Rng rng(42);
 
-    for (sched::EvalMode mode :
-         {sched::EvalMode::Flat, sched::EvalMode::Reference}) {
-        mo::VectorFitness vf(base->evaluator(), kAllObjectives, 1, mode);
-        std::vector<sched::Mapping> batch;
-        for (int i = 0; i < 16; ++i)
-            batch.push_back(sched::Mapping::random(
-                group, base->evaluator().numAccels(), rng));
-        std::vector<ObjectiveVector> vecs = vf.evaluateBatch(batch);
-        ASSERT_EQ(vecs.size(), batch.size());
+    mo::VectorFitness vf(base->evaluator(), kAllObjectives, 1);
+    std::vector<sched::Mapping> batch;
+    for (int i = 0; i < 16; ++i)
+        batch.push_back(sched::Mapping::random(
+            group, base->evaluator().numAccels(), rng));
+    std::vector<ObjectiveVector> vecs = vf.evaluateBatch(batch);
+    ASSERT_EQ(vecs.size(), batch.size());
 
-        for (size_t k = 0; k < kAllObjectives.size(); ++k) {
-            // A fresh evaluator fixed on objective k, over the same
-            // group/platform/cost model.
-            sched::MappingEvaluator scalar(
-                base->group(), base->platform(), base->costModel(),
-                sched::BwPolicy::Proportional, nullptr, kAllObjectives[k]);
-            for (size_t i = 0; i < batch.size(); ++i)
-                EXPECT_EQ(vecs[i][k], scalar.fitness(batch[i]))
-                    << "objective "
-                    << sched::objectiveName(kAllObjectives[k])
-                    << " candidate " << i << " mode "
-                    << sched::evalModeName(mode);
-        }
+    for (size_t k = 0; k < kAllObjectives.size(); ++k) {
+        // A fresh evaluator fixed on objective k, over the same
+        // group/platform/cost model.
+        sched::MappingEvaluator scalar(
+            base->group(), base->platform(), base->costModel(),
+            sched::BwPolicy::Proportional, kAllObjectives[k]);
+        for (size_t i = 0; i < batch.size(); ++i)
+            EXPECT_EQ(vecs[i][k], scalar.fitness(batch[i]))
+                << "objective " << sched::objectiveName(kAllObjectives[k])
+                << " candidate " << i;
     }
 }
 
@@ -298,28 +293,38 @@ TEST(Nsga2, FrontIsMutuallyNonDominated)
             }
 }
 
-TEST(Nsga2, BitwiseIdenticalAcrossThreadCountsAndKernels)
+TEST(Nsga2, BitwiseIdenticalAcrossThreadCountsAndMatchesReference)
 {
     auto p = mixS2Problem();
+    const sched::MappingEvaluator& ev = p->evaluator();
     std::vector<sched::Objective> objectives = {
         sched::Objective::Throughput, sched::Objective::Energy};
 
-    auto run = [&](int threads, sched::EvalMode mode) {
+    auto run = [&](int threads) {
         mo::Nsga2 nsga(7);
         opt::SearchOptions opts;
         opts.sampleBudget = 1200;
         opts.threads = threads;
-        opts.evalMode = mode;
-        return nsga.searchMo(p->evaluator(), objectives, opts);
+        return nsga.searchMo(ev, objectives, opts);
     };
 
-    mo::MoSearchResult serial = run(1, sched::EvalMode::Flat);
-    mo::MoSearchResult wide = run(4, sched::EvalMode::Flat);
-    mo::MoSearchResult reference = run(1, sched::EvalMode::Reference);
+    mo::MoSearchResult serial = run(1);
+    mo::MoSearchResult wide = run(4);
     ASSERT_GE(serial.front.size(), 2u);
     EXPECT_EQ(serial.front, wide.front);
     EXPECT_EQ(serial.samplesUsed, wide.samplesUsed);
-    EXPECT_EQ(serial.front, reference.front);
+
+    // Every front member re-scores bitwise on the reference evaluator.
+    const int64_t flops = ev.group().totalFlops();
+    for (const mo::MoPoint& pt : serial.front.points()) {
+        double makespan = ev.evaluate(pt.m).makespanSeconds;
+        double joules = ev.totalJoules(pt.m);
+        for (size_t k = 0; k < objectives.size(); ++k)
+            EXPECT_EQ(pt.objs[k],
+                      sched::objectiveFromSimulation(objectives[k], makespan,
+                                                     joules, flops))
+                << sched::objectiveName(objectives[k]);
+    }
 }
 
 TEST(Nsga2, BudgetTruncationMidGeneration)
@@ -352,8 +357,7 @@ TEST(Nsga2, FrontCoversOrBeatsAllFiveScalarOptima)
     for (sched::Objective o : kAllObjectives) {
         sched::MappingEvaluator scalar(p->group(), p->platform(),
                                        p->costModel(),
-                                       sched::BwPolicy::Proportional,
-                                       nullptr, o);
+                                       sched::BwPolicy::Proportional, o);
         opt::MagmaGa ga(11);
         opt::SearchResult r = ga.search(scalar, scalar_opts);
         optima.push_back(r.best);

@@ -237,21 +237,6 @@ TEST(MetricsRegistry, ConcurrentRecordingLosesNothing)
     EXPECT_EQ(h.max(), 4.0);
 }
 
-TEST(MetricsRegistry, GaugeProvidersRunBeforeVisit)
-{
-    MetricsRegistry reg;
-    int runs = 0;
-    reg.addGaugeProvider([&runs](MetricsRegistry& r) {
-        r.gauge("pull.value").set(++runs);
-    });
-    MetricsSnapshot snap = SnapshotWriter::capture("test", reg);
-    const obs::GaugeSnap* g = snap.findGauge("pull.value");
-    ASSERT_NE(g, nullptr);
-    EXPECT_EQ(g->value, 1.0);
-    snap = SnapshotWriter::capture("test", reg);
-    EXPECT_EQ(snap.findGauge("pull.value")->value, 2.0);
-}
-
 // ------------------------------------------------------- tracer ---
 
 TEST(Tracer, DrainMergesInStartOrderAndCountsDrops)

@@ -1,9 +1,8 @@
 /**
  * @file N-thread hammer tests for the shared mutable state of the
  * engine: serve::MappingStore (concurrent put/get/LRU-evict/save),
- * obs::MetricsRegistry (histogram record vs snapshot, counter identity),
- * exec::CostCache (shard contention on overlapping keys) and the
- * obs::Tracer rings (record vs drain).
+ * obs::MetricsRegistry (histogram record vs snapshot, counter identity)
+ * and the obs::Tracer rings (record vs drain).
  *
  * These tests are meaningful everywhere (the post-join invariants catch
  * lost updates and broken accounting) but earn their keep under the
@@ -20,10 +19,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "cost/cost_model.h"
-#include "dnn/layer.h"
 #include "dnn/workload.h"
-#include "exec/cost_cache.h"
 #include "obs/metrics.h"
 #include "obs/snapshot.h"
 #include "obs/trace.h"
@@ -202,53 +198,6 @@ TEST(RaceStress, MetricsRegistryLookupIdentity)
                   const obs::Counter& c) { total += c.value(); },
               nullptr, nullptr);
     EXPECT_EQ(total, int64_t{kThreads} * kOpsPerThread);
-}
-
-// ----------------------------------------------------------- CostCache ---
-
-TEST(RaceStress, CostCacheShardContention)
-{
-    exec::CostCache cache(/*shards=*/4);
-    cost::CostModel model;
-    cost::SubAccelConfig cfg;
-
-    // A handful of distinct shapes queried by every thread: concurrent
-    // misses on one key may both compute, but every returned result must
-    // be bitwise identical to the serial answer.
-    std::vector<dnn::LayerShape> shapes;
-    for (int i = 0; i < 8; ++i)
-        shapes.push_back(dnn::conv(32 + i, 16, 14, 14, 3, 3));
-    std::vector<cost::CostResult> expected;
-    expected.reserve(shapes.size());
-    for (const auto& s : shapes)
-        expected.push_back(model.analyze(s, 4, cfg));
-
-    std::vector<std::thread> threads;
-    threads.reserve(kThreads);
-    std::atomic<int> mismatches{0};
-    for (int t = 0; t < kThreads; ++t) {
-        threads.emplace_back([&, t] {
-            for (int i = 0; i < kOpsPerThread; ++i) {
-                int k = (t + i) % static_cast<int>(shapes.size());
-                cost::CostResult r =
-                    cache.analyze(model, shapes[k], 4, cfg);
-                if (r.noStallCycles != expected[k].noStallCycles ||
-                    r.energyPj != expected[k].energyPj ||
-                    r.macs != expected[k].macs)
-                    mismatches.fetch_add(1, std::memory_order_relaxed);
-            }
-        });
-    }
-    for (auto& th : threads)
-        th.join();
-
-    EXPECT_EQ(mismatches.load(), 0);
-    exec::CostCacheStats s = cache.stats();
-    EXPECT_EQ(s.hits + s.misses, int64_t{kThreads} * kOpsPerThread);
-    // Duplicate computes are allowed (racing cold misses) but bounded:
-    // at most one extra compute per thread per key.
-    EXPECT_GE(s.entries, static_cast<int64_t>(shapes.size()));
-    EXPECT_LE(s.entries, static_cast<int64_t>(shapes.size()));
 }
 
 // -------------------------------------------------------------- Tracer ---

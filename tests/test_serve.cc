@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <fstream>
 #include <future>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -1127,4 +1128,59 @@ TEST(MappingService, DeadlineExpiredRequestsShedAtDequeue)
     serve::ServiceStats s = service.stats();
     EXPECT_EQ(s.shed, 1);
     EXPECT_EQ(s.served, 1);
+}
+
+// --------------------------------------------------------- admission ---
+
+TEST(MappingService, RejectsUnrunnableRequestsAtSubmit)
+{
+    // Zero bandwidth used to wedge the worker lane for good (deadlines
+    // are only checked at dequeue), -5 returned fitness 0 as an answer
+    // and NaN was served as unlimited bandwidth. Each must now throw at
+    // submit without taking a queue slot; ctest's TIMEOUT catches a
+    // request that slips through and hangs.
+    ServiceConfig cfg;
+    cfg.workers = 1;
+    MappingService service(cfg);
+    auto request = [] {
+        MapRequest r = controlRequest(560);
+        r.deadlineSeconds = 1.0;
+        return r;
+    };
+    for (double bw : {0.0, -5.0, std::numeric_limits<double>::quiet_NaN(),
+                      std::numeric_limits<double>::infinity()}) {
+        MapRequest r = request();
+        r.problem.systemBwGbps = bw;
+        EXPECT_THROW(service.submit(std::move(r)), std::invalid_argument)
+            << bw;
+    }
+    MapRequest empty_group = request();
+    empty_group.problem.groupSize = 0;
+    EXPECT_THROW(service.submit(std::move(empty_group)),
+                 std::invalid_argument);
+    MapRequest no_budget = request();
+    no_budget.search.sampleBudget = 0;
+    EXPECT_THROW(service.submit(std::move(no_budget)),
+                 std::invalid_argument);
+    EXPECT_EQ(service.stats().submitted, 0);
+
+    // groupSize is not what runs when the request carries its own jobs.
+    MapRequest explicit_group = request();
+    explicit_group.group = makeGroup(dnn::TaskType::Mix, 6, 561);
+    explicit_group.problem.groupSize = 0;
+    auto fe = service.submit(std::move(explicit_group));
+
+    // The service still serves valid requests afterwards.
+    auto fv = service.submit(request());
+    ASSERT_EQ(fv.wait_for(std::chrono::seconds(30)),
+              std::future_status::ready);
+    MapResponse rv = fv.get();
+    EXPECT_FALSE(rv.shed);
+    EXPECT_GT(rv.bestFitness, 0.0);
+    EXPECT_EQ(fe.get().best.size(), 6);
+    service.stop();
+
+    serve::ServiceStats s = service.stats();
+    EXPECT_EQ(s.submitted, 2);
+    EXPECT_EQ(s.served, 2);
 }
